@@ -6,7 +6,7 @@ smoothly over the chart closure is decided by two block conditions: the
 lower-left stabilization block must vanish, and the conjugated top-left block
 must commute with the diagonal complex scalars. The per-chart candidate for
 an honest almost complex structure is computed exactly, and existence asks
-all charts to produce the same matrix.
+all charts to produce the same matrix, which is tested once per vertex.
 """
 
 from __future__ import annotations
@@ -317,39 +317,46 @@ def smooth_extension_analysis(
 
 
 def invariant_acs_candidates(
-    fan: TopologicalFan,
+    fan: TopologicalFan, simplices: Optional[Iterable[tuple[int, ...]]] = None
 ) -> dict[tuple[int, ...], linalg.Mat]:
-    """Exact per-chart candidate structure matrices B S B^{-1}."""
+    """Exact candidate structure matrices B S B^{-1}, for every chart by default."""
     std = std_complex_structure(fan.n)
     out = {}
-    for simplex in fan.maximal_simplices():
+    for simplex in fan.maximal_simplices() if simplices is None else simplices:
         b, b_inv = _chart_blocks(fan, tuple(simplex))
         out[simplex] = linalg.mat_mul(linalg.mat_mul(b, std), b_inv)
     return out
+
+
+def _vertex_test(fan: TopologicalFan):
+    """I0, its candidate J0, and the first chart with a vertex i where J0 u_i != w_i
+    (or None); u_i, w_i are columns 2k, 2k+1 of a block matrix with i in slot k.
+    As J0^2 = -1, a chart's candidate is J0 exactly when all its vertices pass."""
+    first = fan.maximal_simplices()[0]
+    j0 = invariant_acs_candidates(fan, [first])[first]
+    failing = set()
+    for i, vector in enumerate(fan.beta):
+        u = [x for comp in vector for x in (comp.b, comp.c)]
+        if linalg.mat_vec(j0, u) != tuple(x for comp in vector for x in (0, comp.v)):
+            failing.add(i)
+    other = next((s for s in fan.maximal_simplices() if failing.intersection(s)), None)
+    return first, j0, other
 
 
 def invariant_acs(fan: TopologicalFan) -> Optional[OrbitACS]:
     """The invariant almost complex structure, when all charts agree exactly."""
     if not validate(fan).all_passed:
         raise InvalidFanError("invariant_acs needs a fan passing validation")
-    candidates = invariant_acs_candidates(fan)
-    values = list(candidates.values())
-    if all(v == values[0] for v in values[1:]):
-        return OrbitACS(0, values[0])
-    return None
+    _, j0, other = _vertex_test(fan)
+    return None if other else OrbitACS(0, j0)
 
 
 def disagreeing_charts(
     fan: TopologicalFan,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """First pair of maximal simplices whose candidates differ, if any."""
-    candidates = invariant_acs_candidates(fan)
-    simplices = sorted(candidates)
-    for a in range(len(simplices)):
-        for b in range(a + 1, len(simplices)):
-            if candidates[simplices[a]] != candidates[simplices[b]]:
-                return simplices[a], simplices[b]
-    return None
+    """The first chart and the first chart whose candidate differs from it, if any."""
+    first, _, other = _vertex_test(fan)
+    return (first, other) if other else None
 
 
 def divergence_probe(
@@ -433,29 +440,29 @@ def stabilized(acs_matrix: linalg.Mat, ell: int) -> OrbitACS:
     return OrbitACS(ell, out)
 
 
-def equivalence_cross_check(
-    fan: TopologicalFan, ell: int = 1, seed: int = 0
-) -> CrossCheckReport:
+def equivalence_holds(structure: Optional[OrbitACS], verdict: Verdict) -> bool:
+    """The paper's equivalence: a structure exists exactly when the fan is toric."""
+    return (structure is not None) == (verdict is Verdict.TORIC)
+
+
+def equivalence_cross_check(fan: TopologicalFan, ell: int = 1) -> CrossCheckReport:
     """Check that structure existence and toricness agree, and that any
     stabilized completion of an existing structure forces a zero J21 block."""
     structure = invariant_acs(fan)
-    toric = classify(fan) is Verdict.TORIC
-    exists = structure is not None
+    verdict = classify(fan)
 
     zero_ok: Optional[bool] = None
     j21_rejected: Optional[bool] = None
-    if exists and ell > 0:
+    if structure is not None and ell > 0:
         b = chart_block_matrix(fan, fan.maximal_simplices()[0])
         good = stabilized(linalg.mat(structure.j0), ell)
         zero_ok = (
             smooth_extension_analysis(good, b).verdict
             is ExtensionVerdict.SMOOTH_EXTENSION
         )
-        rng = random.Random(seed)
+        # B is invertible, so any one nonzero J21 entry gives J21 B != 0
         bad_rows = [list(row) for row in good.j0]
-        r = 2 * fan.n + rng.randrange(2 * ell)
-        c = rng.randrange(2 * fan.n)
-        bad_rows[r][c] = Fraction(1)
+        bad_rows[2 * fan.n][0] = Fraction(1)
         bad = OrbitACS(ell, bad_rows)
         j21_rejected = (
             smooth_extension_analysis(bad, b).verdict
@@ -463,9 +470,9 @@ def equivalence_cross_check(
         )
 
     return CrossCheckReport(
-        acs_exists=exists,
-        toric=toric,
-        equivalence_holds=exists == toric,
+        acs_exists=structure is not None,
+        toric=verdict is Verdict.TORIC,
+        equivalence_holds=equivalence_holds(structure, verdict),
         stabilized_zero_accepted=zero_ok,
         stabilized_j21_rejected=j21_rejected,
     )

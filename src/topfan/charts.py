@@ -194,18 +194,20 @@ def exponent_certificate(
 
 
 def classify(fan: TopologicalFan) -> Verdict:
-    """Toric when every transition is a Laurent monomial, non-toric otherwise."""
+    """Toric when every transition is a Laurent monomial, non-toric otherwise:
+    exactly when B = V G and C = V H for the real, imaginary and integer parts
+    B, C, V of the fan vectors, with G = V_I^-1 B_I, H = V_I^-1 C_I for a cone I."""
     if not validate(fan).all_passed:
         raise InvalidFanError("classify needs a fan passing validation")
-    toric = all(flag is not None for *_, flag in exponent_certificate(fan))
-    # cross-assertion: the all-pairs transition tables must agree with the verdict
-    maximal = fan.maximal_simplices()
-    pairwise = all(
-        is_holomorphic(transition(fan, i_simplex, k_simplex))
-        for i_simplex in maximal
-        for k_simplex in maximal
+    real = linalg.mat(fan.real_row(i) for i in range(fan.m))
+    imaginary = linalg.mat((comp.c for comp in vector) for vector in fan.beta)
+    integer = linalg.mat(fan.integer_row(i) for i in range(fan.m))
+    cone = fan.maximal_simplices()[0]
+    v_inv = linalg.inverse(tuple(integer[i] for i in cone))
+    toric = all(
+        linalg.mat_mul(integer, linalg.mat_mul(v_inv, [part[i] for i in cone])) == part
+        for part in (real, imaginary)
     )
-    assert pairwise == toric, "certificate and transition tables disagree"
     return Verdict.TORIC if toric else Verdict.NON_TORIC_TOPOLOGICAL
 
 

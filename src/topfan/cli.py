@@ -198,7 +198,7 @@ def cmd_acs(args: argparse.Namespace) -> int:
             lines.append("  [" + ", ".join(str(Fraction(x)) for x in row) + "]")
     else:
         pair = acs_mod.disagreeing_charts(fan)
-        candidates = acs_mod.invariant_acs_candidates(fan)
+        candidates = acs_mod.invariant_acs_candidates(fan, pair)
         results["disagreeing_charts"] = [[v + 1 for v in s] for s in pair]
         results["candidates"] = {
             ",".join(str(v + 1) for v in s): fanio.matrix_doc(candidates[s])
@@ -297,12 +297,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if report.all_passed:
         verdict = charts.classify(fan)
         structure = acs_mod.invariant_acs(fan)
-        cross = acs_mod.equivalence_cross_check(fan)
         results["classification"] = verdict.value
         results["acs"] = {
             "exists": structure is not None,
             "j0": fanio.matrix_doc(structure.j0) if structure else None,
-            "equivalence_holds": cross.equivalence_holds,
+            "equivalence_holds": acs_mod.equivalence_holds(structure, verdict),
         }
     doc = fanio.make_report("report", fan, results)
     sys.stdout.write(fanio.render_report(doc))

@@ -79,9 +79,6 @@ class CZMat:
     def __mul__(self, other: "CZMat") -> "CZMat":
         return cz_mul(self, other)
 
-    def is_zero(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.v == 0
-
     def __repr__(self) -> str:
         return f"CZMat({self.b}, {self.c}, {self.v})"
 

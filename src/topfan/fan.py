@@ -232,16 +232,29 @@ def cone_generators(fan: TopologicalFan, simplex: Iterable[int]) -> tuple[Vec, .
     return tuple(fan.real_row(i) for i in sorted(s))
 
 
+#: Sorted simplex -> inverse of its generator columns (None if dependent), per check.
+ConeInverses = dict[tuple[int, ...], Optional[linalg.Mat]]
+
+
+def _coefficients(
+    fan: TopologicalFan, simplex: Sequence[int], x: Vec, inverses: ConeInverses
+) -> Optional[Vec]:
+    s = tuple(sorted(simplex))
+    if s not in inverses:
+        columns = linalg.transpose(linalg.mat(fan.real_row(i) for i in s))
+        try:
+            inverses[s] = linalg.inverse(columns)
+        except ValueError:
+            inverses[s] = None
+    inverse = inverses[s]
+    return None if inverse is None else linalg.mat_vec(inverse, linalg.vec(x))
+
+
 def cone_coefficients(
     fan: TopologicalFan, simplex: Sequence[int], x: Vec
 ) -> Optional[Vec]:
     """Coefficients a with sum a_i g_i = x, or None if the generators are dependent."""
-    gens = [fan.real_row(i) for i in sorted(simplex)]
-    a = linalg.transpose(linalg.mat(gens))
-    try:
-        return linalg.solve(a, tuple(Fraction(v) for v in x))
-    except ValueError:
-        return None
+    return _coefficients(fan, simplex, x, {})
 
 
 def _in_span(gens: Sequence[Vec], x: Vec) -> bool:
@@ -250,17 +263,17 @@ def _in_span(gens: Sequence[Vec], x: Vec) -> bool:
     return len(linalg.rref(stacked)[1]) == len(linalg.rref(only)[1])
 
 
-def _closed_membership(fan: TopologicalFan, simplex: Sequence[int], x: Vec) -> bool:
-    coeffs = cone_coefficients(fan, simplex, x)
-    if coeffs is None:
-        # dependent generators: fall back to a conservative span test
-        return _in_span([fan.real_row(i) for i in sorted(simplex)], x)
-    return all(c >= 0 for c in coeffs)
-
-
-def _interior_membership(fan: TopologicalFan, simplex: Sequence[int], x: Vec) -> bool:
-    coeffs = cone_coefficients(fan, simplex, x)
-    return coeffs is not None and all(c > 0 for c in coeffs)
+def _covered(fan: TopologicalFan, x: Vec, inverses: ConeInverses) -> bool:
+    """Whether x lies in some closed maximal cone."""
+    for s in fan.maximal_simplices():
+        coeffs = _coefficients(fan, s, x, inverses)
+        if coeffs is None:
+            # dependent generators: fall back to a conservative span test
+            if _in_span([fan.real_row(i) for i in s], x):
+                return True
+        elif all(c >= 0 for c in coeffs):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +390,7 @@ def _random_direction(rng: random.Random, n: int) -> Vec:
             return x
 
 
-def _degree_check(fan: TopologicalFan, seed: int) -> AxiomCheck:
+def _degree_check(fan: TopologicalFan, seed: int, inverses: ConeInverses) -> AxiomCheck:
     rng = random.Random(seed)
     maximal = fan.maximal_simplices()
     accepted = 0
@@ -390,7 +403,7 @@ def _degree_check(fan: TopologicalFan, seed: int) -> AxiomCheck:
         interior: list[tuple[int, ...]] = []
         on_boundary = False
         for s in maximal:
-            coeffs = cone_coefficients(fan, s, x)
+            coeffs = _coefficients(fan, s, x, inverses)
             if coeffs is None:
                 continue
             if all(c > 0 for c in coeffs):
@@ -413,13 +426,12 @@ def _degree_check(fan: TopologicalFan, seed: int) -> AxiomCheck:
 
 
 def _uncovered_near_wall(
-    fan: TopologicalFan, wall: Simplex, away_from: int
+    fan: TopologicalFan, wall: Simplex, away_from: int, inverses: ConeInverses
 ) -> Optional[UncoveredWitness]:
     """Search for an uncovered direction just across a defective wall."""
-    maximal = fan.maximal_simplices()
     if fan.n == 1:
         for candidate in ((Fraction(1),), (Fraction(-1),)):
-            if not any(_closed_membership(fan, s, candidate) for s in maximal):
+            if not _covered(fan, candidate, inverses):
                 return UncoveredWitness(candidate)
         return None
     normal = _wall_normal(fan, wall)
@@ -435,22 +447,19 @@ def _uncovered_near_wall(
     eps = Fraction(1)
     for _ in range(40):
         candidate = tuple(b + eps * d for b, d in zip(base, direction))
-        if any(c != 0 for c in candidate) and not any(
-            _closed_membership(fan, s, candidate) for s in maximal
-        ):
+        if any(c != 0 for c in candidate) and not _covered(fan, candidate, inverses):
             return UncoveredWitness(candidate)
         eps /= 2
     return None
 
 
 def _uncovered_by_sampling(
-    fan: TopologicalFan, seed: int, budget: int = 500
+    fan: TopologicalFan, seed: int, inverses: ConeInverses, budget: int = 500
 ) -> Optional[UncoveredWitness]:
     rng = random.Random(seed ^ 0x5EED)
-    maximal = fan.maximal_simplices()
     for _ in range(budget):
         x = _random_direction(rng, fan.n)
-        if not any(_closed_membership(fan, s, x) for s in maximal):
+        if not _covered(fan, x, inverses):
             return UncoveredWitness(x)
     return None
 
@@ -499,42 +508,31 @@ def _nonoverlap_check(fan: TopologicalFan) -> AxiomCheck:
 
 
 def _completeness_check(fan: TopologicalFan, seed: int) -> AxiomCheck:
-    pm = _pseudomanifold_check(fan)
-    if not pm.passed:
-        witness = pm.witness
+    inverses: ConeInverses = {}
+    for wall_check, fallback in (
+        (_pseudomanifold_check, "wall defect"),
+        (_wall_side_check, "wall side defect"),
+    ):
+        defect = wall_check(fan)
+        if defect.passed:
+            continue
+        witness = defect.witness
         if isinstance(witness, WallWitness) and witness.simplices:
             wall = frozenset(witness.wall)
-            owner = frozenset(witness.simplices[0])
-            opposite = next(iter(owner - wall), None)
+            opposite = next(iter(frozenset(witness.simplices[0]) - wall), None)
             if opposite is not None:
-                found = _uncovered_near_wall(fan, wall, opposite)
+                found = _uncovered_near_wall(fan, wall, opposite, inverses)
                 if found:
                     return AxiomCheck(False, found, "support misses a direction")
-        found = _uncovered_by_sampling(fan, seed)
-        return AxiomCheck(False, found or witness, pm.detail or "wall defect")
-
-    sides = _wall_side_check(fan)
-    if not sides.passed:
-        witness = sides.witness
-        if isinstance(witness, WallWitness) and witness.simplices:
-            wall = frozenset(witness.wall)
-            owner = frozenset(witness.simplices[0])
-            opposite = next(iter(owner - wall), None)
-            if opposite is not None:
-                found = _uncovered_near_wall(fan, wall, opposite)
-                if found:
-                    return AxiomCheck(False, found, "support misses a direction")
-        found = _uncovered_by_sampling(fan, seed)
-        return AxiomCheck(False, found or witness, sides.detail or "wall side defect")
+        found = _uncovered_by_sampling(fan, seed, inverses)
+        return AxiomCheck(False, found or witness, defect.detail or fallback)
 
     connectivity = _connectivity_check(fan)
     if not connectivity.passed:
-        found = _uncovered_by_sampling(fan, seed)
-        return AxiomCheck(
-            False, found or connectivity.witness, connectivity.detail
-        )
+        found = _uncovered_by_sampling(fan, seed, inverses)
+        return AxiomCheck(False, found or connectivity.witness, connectivity.detail)
 
-    return _degree_check(fan, seed)
+    return _degree_check(fan, seed, inverses)
 
 
 def _nonsingularity_check(

@@ -55,10 +55,6 @@ def dot(x: Vec, y: Vec) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
-def is_zero(a: Mat) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def det(a: Mat) -> Fraction:
     """Exact determinant by fraction-preserving Gaussian elimination."""
     n = len(a)

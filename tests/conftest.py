@@ -2,15 +2,21 @@
 
 The oracles here deliberately avoid the library's code paths: membership uses
 Leibniz determinants with Cramer's rule, and 2D cone overlap is decided by
-sector arithmetic instead of Fourier-Motzkin feasibility.
+sector arithmetic instead of Fourier-Motzkin feasibility. Toricness and the
+invariant structure are re-decided the long way, over every chart pair.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from topfan.czalgebra import CZMat
 from topfan.fan import SimplicialComplex, TopologicalFan
+
+#: Committed test data: generated fans and golden CLI output (see data/README.md).
+DATA = Path(__file__).parent / "data"
 
 
 def leibniz_det(rows):
@@ -44,6 +50,22 @@ def cramer_membership(generators, point):
             replaced[r][i] = Fraction(point[r])
         coords.append(leibniz_det(replaced) / d)
     return tuple(coords)
+
+
+def cramer_inverse(rows):
+    """Exact inverse as the adjugate over the Leibniz determinant."""
+    n = len(rows)
+    d = leibniz_det(rows)
+
+    def minor(r, c):
+        return [
+            [rows[i][j] for j in range(n) if j != c] for i in range(n) if i != r
+        ]
+
+    return [
+        [(-1) ** (i + j) * leibniz_det(minor(j, i)) / d for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def strictly_inside(fan, simplex, point):
@@ -101,6 +123,75 @@ def brute_force_nonoverlap_2d(fan):
 
 
 # ---------------------------------------------------------------------------
+# all-pairs oracles for toricness and the invariant structure
+
+
+def all_pairs_toric(fan):
+    """Toric when every chart change of every ordered pair is holomorphic."""
+    from topfan.charts import is_holomorphic, transition
+
+    maximal = fan.maximal_simplices()
+    return all(
+        is_holomorphic(transition(fan, a, b)) for a in maximal for b in maximal
+    )
+
+
+def per_chart_structure(fan):
+    """(J0, None) when all chart candidates agree, else (None, the first
+    differing pair of charts in sorted order)."""
+    from topfan.acs import invariant_acs_candidates
+
+    candidates = invariant_acs_candidates(fan)
+    simplices = sorted(candidates)
+    for a in range(len(simplices)):
+        for b in range(a + 1, len(simplices)):
+            if candidates[simplices[a]] != candidates[simplices[b]]:
+                return None, (simplices[a], simplices[b])
+    return candidates[simplices[0]], None
+
+
+def toric_coordinates(fan):
+    """(G, H) = (V_I^-1 B_I, V_I^-1 C_I) for the first maximal cone I."""
+    cone = fan.maximal_simplices()[0]
+    v_inv = cramer_inverse([fan.integer_row(i) for i in cone])
+    real = [[comp.b for comp in fan.beta[i]] for i in cone]
+    imaginary = [[comp.c for comp in fan.beta[i]] for i in cone]
+    return _matmul(v_inv, real), _matmul(v_inv, imaginary)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def map_by_automorphism(fan, a_b, a_c):
+    """Image of every fan vector under the CZ matrix A with integer part 1:
+    real parts b -> A_b b, imaginary parts c -> A_c b + c."""
+    n = fan.n
+    beta = []
+    for vector in fan.beta:
+        b = [comp.b for comp in vector]
+        beta.append(
+            tuple(
+                CZMat(
+                    sum(a_b[j][k] * b[k] for k in range(n)),
+                    sum(a_c[j][k] * b[k] for k in range(n)) + vector[j].c,
+                    vector[j].v,
+                )
+                for j in range(n)
+            )
+        )
+    return TopologicalFan(n, fan.sc, tuple(beta))
+
+
+def ordinary_image(fan):
+    """The fan mapped by A_b = (G^T)^-1, A_c = -H^T (G^T)^-1, A_v = 1."""
+    g, h = toric_coordinates(fan)
+    a_b = cramer_inverse([list(col) for col in zip(*g)])
+    a_c = [[-x for x in row] for row in _matmul([list(col) for col in zip(*h)], a_b)]
+    return map_by_automorphism(fan, a_b, a_c)
+
+
+# ---------------------------------------------------------------------------
 # fan mutations
 
 
@@ -149,3 +240,14 @@ def catalog_fans():
     from topfan import catalog
 
     return catalog.all_fans()
+
+
+@pytest.fixture(scope="session")
+def committed_fans():
+    """The generated fans under data/fans, by file stem."""
+    from topfan.fanio import parse_fan
+
+    return {
+        path.stem: parse_fan(path.read_text())
+        for path in sorted((DATA / "fans").glob("*.json"))
+    }

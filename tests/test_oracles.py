@@ -1,0 +1,116 @@
+"""The linear toricness test and the per-vertex structure test against the
+all-pairs oracles, the paper's statement on toric fans, and a guard that a
+report decides each question once without building transition tables."""
+
+import pytest
+
+import topfan
+from conftest import (
+    all_pairs_toric,
+    ordinary_image,
+    per_chart_structure,
+)
+from topfan import acs, catalog, charts, czalgebra
+from topfan.acs import disagreeing_charts, invariant_acs
+from topfan.charts import Verdict, classify, transition
+from topfan.cli import main
+from topfan.fan import is_ordinary, random_fan, validate
+from topfan.fanio import emit_fan
+
+#: Oracle fans stay at M <= 16 so that the all-pairs checks stay cheap.
+MAX_CONES = 16
+
+
+@pytest.fixture(scope="module")
+def oracle_fans(catalog_fans, committed_fans):
+    fans = dict(catalog_fans)
+    for seed in range(40):
+        fans[f"random-{seed}"] = random_fan(seed, 1 + seed % 2, 4 + seed % 3)
+    for name, fan in committed_fans.items():
+        if validate(fan).all_passed:
+            fans[name] = fan
+    assert all(len(fan.maximal_simplices()) <= MAX_CONES for fan in fans.values())
+    return fans
+
+
+def test_oracle_set_has_both_verdicts_and_every_dimension(oracle_fans):
+    verdicts = {classify(fan) for fan in oracle_fans.values()}
+    assert verdicts == set(Verdict)
+    assert {fan.n for fan in oracle_fans.values()} == {1, 2, 3, 4}
+
+
+def test_classify_agrees_with_all_pairs_transitions(oracle_fans):
+    for name, fan in oracle_fans.items():
+        toric = classify(fan) is Verdict.TORIC
+        assert toric == all_pairs_toric(fan), name
+
+
+def test_vertex_test_agrees_with_per_chart_candidates(oracle_fans):
+    for name, fan in oracle_fans.items():
+        j0, pair = per_chart_structure(fan)
+        structure = invariant_acs(fan)
+        assert (structure.j0 if structure else None) == j0, name
+        assert disagreeing_charts(fan) == pair, name
+
+
+def test_report_rule_and_cross_check_agree(oracle_fans):
+    for name, fan in oracle_fans.items():
+        holds = acs.equivalence_holds(invariant_acs(fan), classify(fan))
+        assert holds and acs.equivalence_cross_check(fan).equivalence_holds, name
+
+
+def test_toric_fans_are_ordinary_after_a_cz_automorphism(oracle_fans):
+    toric = 0
+    for name, fan in oracle_fans.items():
+        image = ordinary_image(fan)
+        if classify(fan) is not Verdict.TORIC:
+            assert not is_ordinary(image), name
+            continue
+        toric += 1
+        assert is_ordinary(image), name
+        assert validate(image).all_passed, name
+        maximal = fan.maximal_simplices()
+        for a in maximal:
+            for b in maximal:
+                table = transition(fan, a, b).table
+                assert transition(image, a, b).table == table, name
+    assert toric > 0
+
+
+def _forbid(monkeypatch, function):
+    """Make every alias of a package function raise when called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{function.__module__}.{function.__name__} was called")
+
+    _replace_aliases(monkeypatch, function, forbidden)
+
+
+def _replace_aliases(monkeypatch, function, replacement):
+    for module in (topfan, charts, acs, czalgebra, topfan.cli, topfan.fan):
+        for name, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, name, replacement)
+
+
+@pytest.mark.parametrize("name", ["hirzebruch-1", "nontoric-surface"])
+def test_report_and_acs_decide_once_without_transition_tables(
+    name, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "fan.json"
+    path.write_text(emit_fan(catalog.get(name)))
+    for function in (charts.transition, czalgebra.pairing, charts.exponent_certificate):
+        _forbid(monkeypatch, function)
+    calls = []
+    original = charts.classify
+
+    def counting(fan):
+        calls.append(fan)
+        return original(fan)
+
+    _replace_aliases(monkeypatch, original, counting)
+    for command in ("report", "acs"):
+        calls.clear()
+        assert main([command, "--fan", str(path), "--format", "json"]) == 0, command
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(calls) == 1, command
