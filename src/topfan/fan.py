@@ -26,7 +26,8 @@ from .errors import (
 )
 from .linalg import Vec
 
-#: Default seed for the randomized covering-degree samples inside validate.
+#: Default seed for the random directions that validate samples when the
+#: wall structure and one generic point do not decide completeness.
 DEGREE_SAMPLE_SEED = 1729
 
 #: Accepted generic samples per completeness check.
@@ -300,16 +301,21 @@ def _linear_independence_check(fan: TopologicalFan) -> AxiomCheck:
     return AxiomCheck(True)
 
 
-def _walls(fan: TopologicalFan) -> dict[Simplex, list[tuple[Simplex, int]]]:
+#: Each wall (a maximal simplex minus one vertex) with the maximal simplices
+#: that hold it, each paired with its opposite vertex; sorted by wall.
+Walls = list[tuple[Simplex, list[tuple[Simplex, int]]]]
+
+
+def _walls(fan: TopologicalFan) -> Walls:
     walls: dict[Simplex, list[tuple[Simplex, int]]] = {}
     for mx in fan.sc.maximal_simplices:
         for p in mx:
             walls.setdefault(mx - {p}, []).append((mx, p))
-    return walls
+    return sorted(walls.items(), key=lambda kv: sorted(kv[0]))
 
 
-def _pseudomanifold_check(fan: TopologicalFan) -> AxiomCheck:
-    for wall, incident in sorted(_walls(fan).items(), key=lambda kv: sorted(kv[0])):
+def _pseudomanifold_check(walls: Walls) -> AxiomCheck:
+    for wall, incident in walls:
         if len(incident) != 2:
             return AxiomCheck(
                 False,
@@ -333,8 +339,8 @@ def _wall_normal(fan: TopologicalFan, wall: Simplex) -> Optional[Vec]:
     return kernel[0]
 
 
-def _wall_side_check(fan: TopologicalFan) -> AxiomCheck:
-    for wall, incident in sorted(_walls(fan).items(), key=lambda kv: sorted(kv[0])):
+def _wall_side_check(fan: TopologicalFan, walls: Walls) -> AxiomCheck:
+    for wall, incident in walls:
         if len(incident) != 2:
             continue
         normal = _wall_normal(fan, wall)
@@ -353,11 +359,61 @@ def _wall_side_check(fan: TopologicalFan) -> AxiomCheck:
     return AxiomCheck(True)
 
 
-def _connectivity_check(fan: TopologicalFan) -> AxiomCheck:
+@dataclass(frozen=True)
+class _WallChecks:
+    """The walls of a fan and the two axiom checks made on them alone."""
+
+    walls: Walls
+    pseudomanifold: AxiomCheck
+    sides: AxiomCheck
+
+
+def _wall_checks(fan: TopologicalFan) -> _WallChecks:
+    walls = _walls(fan)
+    return _WallChecks(walls, _pseudomanifold_check(walls), _wall_side_check(fan, walls))
+
+
+def _generic_degree(fan: TopologicalFan) -> int:
+    """How many open maximal cones hold the first point x = (1, t, ..., t^(n-1)),
+    for t = 1/97, 1 + 1/97, 2 + 1/97, ..., that lies on no facet hyperplane.
+
+    A facet hyperplane meets this curve in at most n - 1 points, so the walk
+    stops within (facet hyperplanes) * (n - 1) + 1 steps. Call it only when
+    every wall is good: then each vertex of a cone lies strictly off the
+    hyperplane of the wall opposite it, so every cone has an inverse.
+    """
+    maximal = fan.maximal_simplices()
+    inverses: ConeInverses = {}
+    t = Fraction(1, 97)
+    while True:
+        x = tuple(t**e for e in range(fan.n))
+        coefficients = [_coefficients(fan, s, x, inverses) for s in maximal]
+        if all(0 not in c for c in coefficients):
+            return sum(1 for c in coefficients if min(c) > 0)
+        t += 1
+
+
+def _covered_once(fan: TopologicalFan, walls: _WallChecks) -> bool:
+    """Whether every wall is good and one generic point lies in exactly one open cone.
+
+    A wall is good when it lies in exactly two maximal cones whose opposite
+    vertices are strictly on opposite sides of it. Crossing a good wall leaves
+    one cone and enters another, so when every wall is good, the number of open
+    cones that hold a point off every facet hyperplane is the same everywhere
+    (De Loera, Rambau and Santos, *Triangulations*, ch. 4). That number is 1
+    exactly when the cone interiors are pairwise disjoint and the closed cones
+    cover R^n.
+    """
+    if not (walls.pseudomanifold.passed and walls.sides.passed):
+        return False
+    return _generic_degree(fan) == 1
+
+
+def _connectivity_check(fan: TopologicalFan, walls: Walls) -> AxiomCheck:
     maximal = fan.maximal_simplices()
     index = {frozenset(s): k for k, s in enumerate(maximal)}
     adjacency: dict[int, set[int]] = {k: set() for k in range(len(maximal))}
-    for incident in _walls(fan).values():
+    for _, incident in walls:
         if len(incident) == 2:
             a, b = (index[mx] for mx, _ in incident)
             adjacency[a].add(b)
@@ -507,13 +563,14 @@ def _nonoverlap_check(fan: TopologicalFan) -> AxiomCheck:
     return AxiomCheck(True)
 
 
-def _completeness_check(fan: TopologicalFan, seed: int) -> AxiomCheck:
+def _completeness_check(
+    fan: TopologicalFan, seed: int, walls: _WallChecks
+) -> AxiomCheck:
     inverses: ConeInverses = {}
-    for wall_check, fallback in (
-        (_pseudomanifold_check, "wall defect"),
-        (_wall_side_check, "wall side defect"),
+    for defect, fallback in (
+        (walls.pseudomanifold, "wall defect"),
+        (walls.sides, "wall side defect"),
     ):
-        defect = wall_check(fan)
         if defect.passed:
             continue
         witness = defect.witness
@@ -527,7 +584,7 @@ def _completeness_check(fan: TopologicalFan, seed: int) -> AxiomCheck:
         found = _uncovered_by_sampling(fan, seed, inverses)
         return AxiomCheck(False, found or witness, defect.detail or fallback)
 
-    connectivity = _connectivity_check(fan)
+    connectivity = _connectivity_check(fan, walls.walls)
     if not connectivity.passed:
         found = _uncovered_by_sampling(fan, seed, inverses)
         return AxiomCheck(False, found or connectivity.witness, connectivity.detail)
@@ -558,17 +615,32 @@ def _nonsingularity_check(
 
 
 def cones_nonoverlapping(fan: TopologicalFan) -> AxiomCheck:
-    """Exact pairwise disjointness of maximal cone interiors (report-valued)."""
+    """Exact pairwise disjointness of maximal cone interiors (report-valued).
+
+    Holds at once when every wall is good and one generic point lies in exactly
+    one open cone; otherwise every cone pair is decided by Fourier-Motzkin
+    elimination, and the first overlapping pair is the witness.
+    """
+    if _covered_once(fan, _wall_checks(fan)):
+        return AxiomCheck(True)
     return _nonoverlap_check(fan)
 
 
 def is_complete(fan: TopologicalFan, seed: int = DEGREE_SAMPLE_SEED) -> AxiomCheck:
-    """Whether the closed cones cover all of R^n (wall structure plus sampling)."""
+    """Whether the closed cones cover all of R^n.
+
+    Holds at once when every wall is good and one generic point lies in exactly
+    one open cone. Otherwise a wall defect, a disconnected wall graph or a
+    seeded sample of directions decides, and `seed` picks the samples.
+    """
     if not _purity_check(fan).passed:
         raise PreconditionError("purity must hold")
-    if not cones_nonoverlapping(fan).passed:
+    walls = _wall_checks(fan)
+    if _covered_once(fan, walls):
+        return AxiomCheck(True)
+    if not _nonoverlap_check(fan).passed:
         raise PreconditionError("cone interiors overlap")
-    return _completeness_check(fan, seed)
+    return _completeness_check(fan, seed, walls)
 
 
 def is_nonsingular(fan: TopologicalFan) -> AxiomCheck:
@@ -586,14 +658,17 @@ def is_ordinary(fan: TopologicalFan) -> bool:
 @lru_cache(maxsize=512)
 def _validate_cached(fan: TopologicalFan, seed: int) -> ValidationReport:
     purity = _purity_check(fan)
-    pseudomanifold = _pseudomanifold_check(fan)
+    walls = _wall_checks(fan)
     independence = _linear_independence_check(fan)
-    nonoverlap = _nonoverlap_check(fan)
-    completeness = _completeness_check(fan, seed)
+    if _covered_once(fan, walls):
+        nonoverlap = completeness = AxiomCheck(True)
+    else:
+        nonoverlap = _nonoverlap_check(fan)
+        completeness = _completeness_check(fan, seed, walls)
     nonsingularity, determinants = _nonsingularity_check(fan)
     return ValidationReport(
         purity=purity,
-        pseudomanifold=pseudomanifold,
+        pseudomanifold=walls.pseudomanifold,
         linear_independence=independence,
         nonoverlap=nonoverlap,
         completeness=completeness,

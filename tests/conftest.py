@@ -6,6 +6,7 @@ sector arithmetic instead of Fourier-Motzkin feasibility. Toricness and the
 invariant structure are re-decided the long way, over every chart pair.
 """
 
+import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -189,6 +190,28 @@ def ordinary_image(fan):
     a_b = cramer_inverse([list(col) for col in zip(*g)])
     a_c = [[-x for x in row] for row in _matmul([list(col) for col in zip(*h)], a_b)]
     return map_by_automorphism(fan, a_b, a_c)
+
+
+# ---------------------------------------------------------------------------
+# work-count guards
+
+
+def replace_aliases(monkeypatch, function, replacement):
+    """Bind replacement under every name a topfan module gives function."""
+    for name, module in list(sys.modules.items()):
+        if name == "topfan" or name.startswith("topfan."):
+            for alias, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, alias, replacement)
+
+
+def forbid(monkeypatch, function):
+    """Make every alias of a package function raise when called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{function.__module__}.{function.__name__} was called")
+
+    replace_aliases(monkeypatch, function, forbidden)
 
 
 # ---------------------------------------------------------------------------

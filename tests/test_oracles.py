@@ -1,20 +1,35 @@
 """The linear toricness test and the per-vertex structure test against the
-all-pairs oracles, the paper's statement on toric fans, and a guard that a
-report decides each question once without building transition tables."""
+all-pairs oracles, the paper's statement on toric fans, the covering-degree
+rule against the pairwise non-overlap and sampled completeness checks, and
+guards that a report decides each question once, without transition tables
+and without pairwise Fourier-Motzkin elimination on valid fans."""
+
+from dataclasses import replace
 
 import pytest
 
-import topfan
 from conftest import (
     all_pairs_toric,
+    forbid,
     ordinary_image,
     per_chart_structure,
+    replace_aliases,
 )
-from topfan import acs, catalog, charts, czalgebra
+from topfan import acs, catalog, charts, czalgebra, fme
 from topfan.acs import disagreeing_charts, invariant_acs
 from topfan.charts import Verdict, classify, transition
 from topfan.cli import main
-from topfan.fan import is_ordinary, random_fan, validate
+from topfan.fan import (
+    DEGREE_SAMPLE_SEED,
+    _completeness_check,
+    _covered_once,
+    _nonoverlap_check,
+    _validate_cached,
+    _wall_checks,
+    is_ordinary,
+    random_fan,
+    validate,
+)
 from topfan.fanio import emit_fan
 
 #: Oracle fans stay at M <= 16 so that the all-pairs checks stay cheap.
@@ -77,22 +92,6 @@ def test_toric_fans_are_ordinary_after_a_cz_automorphism(oracle_fans):
     assert toric > 0
 
 
-def _forbid(monkeypatch, function):
-    """Make every alias of a package function raise when called."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError(f"{function.__module__}.{function.__name__} was called")
-
-    _replace_aliases(monkeypatch, function, forbidden)
-
-
-def _replace_aliases(monkeypatch, function, replacement):
-    for module in (topfan, charts, acs, czalgebra, topfan.cli, topfan.fan):
-        for name, value in list(vars(module).items()):
-            if value is function:
-                monkeypatch.setattr(module, name, replacement)
-
-
 @pytest.mark.parametrize("name", ["hirzebruch-1", "nontoric-surface"])
 def test_report_and_acs_decide_once_without_transition_tables(
     name, tmp_path, monkeypatch, capsys
@@ -100,7 +99,7 @@ def test_report_and_acs_decide_once_without_transition_tables(
     path = tmp_path / "fan.json"
     path.write_text(emit_fan(catalog.get(name)))
     for function in (charts.transition, czalgebra.pairing, charts.exponent_certificate):
-        _forbid(monkeypatch, function)
+        forbid(monkeypatch, function)
     calls = []
     original = charts.classify
 
@@ -108,9 +107,44 @@ def test_report_and_acs_decide_once_without_transition_tables(
         calls.append(fan)
         return original(fan)
 
-    _replace_aliases(monkeypatch, original, counting)
+    replace_aliases(monkeypatch, original, counting)
     for command in ("report", "acs"):
         calls.clear()
         assert main([command, "--fan", str(path), "--format", "json"]) == 0, command
         assert "Traceback" not in capsys.readouterr().err
         assert len(calls) == 1, command
+
+
+def test_covering_degree_agrees_with_pairwise_and_sampled_checks(
+    catalog_fans, committed_fans
+):
+    fans = dict(catalog_fans, **committed_fans)
+    for seed in range(40):
+        fans[f"random-{seed}"] = random_fan(seed, 1 + seed % 2, 4 + seed % 3)
+    for name, fan in fans.items():
+        report = validate(fan)
+        walls = _wall_checks(fan)
+        assert report.nonoverlap == _nonoverlap_check(fan), name
+        completeness = _completeness_check(fan, DEGREE_SAMPLE_SEED, walls)
+        assert report.completeness == completeness, name
+        tiles = report.nonoverlap.passed and report.completeness.passed
+        assert _covered_once(fan, walls) == tiles, name
+        if tiles:
+            for seed in (0, 1, 2, 99, 1000003):
+                again = validate(fan, seed=seed)
+                assert replace(again, seed=0) == replace(report, seed=0), name
+
+
+def test_report_decides_tiling_without_pairwise_elimination(
+    catalog_fans, committed_fans, tmp_path, monkeypatch, capsys
+):
+    fans = dict(catalog_fans, **committed_fans)
+    valid = [name for name, fan in fans.items() if validate(fan).all_passed]
+    assert len(valid) == len(catalog_fans) + 6
+    _validate_cached.cache_clear()
+    forbid(monkeypatch, fme.strict_feasible)
+    for name in valid:
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_fan(fans[name]))
+        assert main(["report", "--fan", str(path), "--format", "json"]) == 0, name
+        assert "Traceback" not in capsys.readouterr().err, name
