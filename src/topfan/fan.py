@@ -6,10 +6,18 @@ arithmetic, whether the real-part cones tile R^n without interior overlaps,
 whether their union is all of R^n, and whether every maximal simplex has a
 unimodular integer part. Failing axioms carry witnesses that can be re-checked
 by independent arithmetic.
+
+Each validate, cones_nonoverlapping or is_complete call first builds one
+integer cone table (`_ConeTable`): every real-part row scaled by a positive
+integer to an integer row, and per maximal cone the determinant and the
+adjugate of its generators, found fraction-free by Bareiss elimination. Every
+membership, independence and wall-side decision reads only signs from it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -233,29 +241,66 @@ def cone_generators(fan: TopologicalFan, simplex: Iterable[int]) -> tuple[Vec, .
     return tuple(fan.real_row(i) for i in sorted(s))
 
 
-#: Sorted simplex -> inverse of its generator columns (None if dependent), per check.
-ConeInverses = dict[tuple[int, ...], Optional[linalg.Mat]]
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """A positive integer scale and the integer row scale * row."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in row)
 
 
-def _coefficients(
-    fan: TopologicalFan, simplex: Sequence[int], x: Vec, inverses: ConeInverses
-) -> Optional[Vec]:
-    s = tuple(sorted(simplex))
-    if s not in inverses:
-        columns = linalg.transpose(linalg.mat(fan.real_row(i) for i in s))
-        try:
-            inverses[s] = linalg.inverse(columns)
-        except ValueError:
-            inverses[s] = None
-    inverse = inverses[s]
-    return None if inverse is None else linalg.mat_vec(inverse, linalg.vec(x))
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+@dataclass(frozen=True)
+class _Cone:
+    """A cone's real-part generators, each scaled by a positive integer to an
+    integer row, and the determinant of those rows.
+
+    When the determinant is nonzero, `normals` holds the inward facet normals:
+    row k of the adjugate of the generator columns, times the sign of the
+    determinant. Normal k vanishes on every generator but the k-th, so its
+    product with a point has the sign of the point's k-th coefficient.
+    """
+
+    scales: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    det: int
+    normals: Optional[linalg.IntMat]
+
+    def facet_values(self, point: Sequence[int]) -> list[int]:
+        """Each inward facet normal times an integer point (cones with normals only)."""
+        return [_dot(normal, point) for normal in self.normals]
+
+    def coefficients(self, x: Vec) -> Optional[Vec]:
+        """Exact coefficients of x over the unscaled generators, or None."""
+        if self.normals is None:
+            return None
+        return tuple(
+            scale * linalg.dot(normal, x) / abs(self.det)
+            for scale, normal in zip(self.scales, self.normals)
+        )
+
+
+def _cone(
+    integer_rows: Sequence[tuple[int, tuple[int, ...]]], simplex: Sequence[int]
+) -> _Cone:
+    """The cone of a simplex, from each vertex's (scale, integer row)."""
+    scales, rows = zip(*(integer_rows[i] for i in simplex))
+    det, adjugate = linalg.bareiss(tuple(zip(*rows)))
+    normals = None
+    if det:
+        sign = 1 if det > 0 else -1
+        normals = tuple(tuple(sign * x for x in row) for row in adjugate)
+    return _Cone(scales, rows, det, normals)
 
 
 def cone_coefficients(
     fan: TopologicalFan, simplex: Sequence[int], x: Vec
 ) -> Optional[Vec]:
     """Coefficients a with sum a_i g_i = x, or None if the generators are dependent."""
-    return _coefficients(fan, simplex, x, {})
+    s = sorted(simplex)
+    integer_rows = {i: _integer_row(fan.real_row(i)) for i in s}
+    return _cone(integer_rows, s).coefficients(linalg.vec(x))
 
 
 def _in_span(gens: Sequence[Vec], x: Vec) -> bool:
@@ -264,15 +309,43 @@ def _in_span(gens: Sequence[Vec], x: Vec) -> bool:
     return len(linalg.rref(stacked)[1]) == len(linalg.rref(only)[1])
 
 
-def _covered(fan: TopologicalFan, x: Vec, inverses: ConeInverses) -> bool:
+#: Each wall (a maximal simplex minus one vertex) with the maximal simplices
+#: that hold it, each paired with its opposite vertex; sorted by wall.
+Walls = list[tuple[Simplex, list[tuple[Simplex, int]]]]
+
+
+@dataclass(frozen=True)
+class _ConeTable:
+    """What the tiling checks read about a fan's real-part cones, built once
+    per `validate`, `cones_nonoverlapping` or `is_complete` call: the sorted
+    maximal simplices, each with its `_Cone`, and the walls with the two axiom
+    checks made on them alone. It is local to one call, so no thread shares it.
+    """
+
+    fan: TopologicalFan
+    cones: dict[tuple[int, ...], _Cone]
+    walls: Walls
+    pseudomanifold: AxiomCheck
+    sides: AxiomCheck
+
+
+def _cone_table(fan: TopologicalFan) -> _ConeTable:
+    integer_rows = [_integer_row(fan.real_row(i)) for i in range(fan.m)]
+    cones = {s: _cone(integer_rows, s) for s in fan.maximal_simplices()}
+    walls = _walls(fan)
+    sides = _wall_side_check(fan, cones, walls)
+    return _ConeTable(fan, cones, walls, _pseudomanifold_check(walls), sides)
+
+
+def _covered(table: _ConeTable, x: Vec) -> bool:
     """Whether x lies in some closed maximal cone."""
-    for s in fan.maximal_simplices():
-        coeffs = _coefficients(fan, s, x, inverses)
-        if coeffs is None:
+    point = _integer_row(x)[1]
+    for s, cone in table.cones.items():
+        if cone.normals is None:
             # dependent generators: fall back to a conservative span test
-            if _in_span([fan.real_row(i) for i in s], x):
+            if _in_span([table.fan.real_row(i) for i in s], x):
                 return True
-        elif all(c >= 0 for c in coeffs):
+        elif min(cone.facet_values(point)) >= 0:
             return True
     return False
 
@@ -289,21 +362,15 @@ def _purity_check(fan: TopologicalFan) -> AxiomCheck:
     return AxiomCheck(True)
 
 
-def _linear_independence_check(fan: TopologicalFan) -> AxiomCheck:
-    for s in fan.maximal_simplices():
-        rows = linalg.mat([fan.real_row(i) for i in s])
-        if linalg.det(rows) == 0:
+def _linear_independence_check(table: _ConeTable) -> AxiomCheck:
+    for s, cone in table.cones.items():
+        if cone.det == 0:
             return AxiomCheck(
                 False,
                 DependenceWitness(s),
                 "real parts of a maximal simplex are dependent",
             )
     return AxiomCheck(True)
-
-
-#: Each wall (a maximal simplex minus one vertex) with the maximal simplices
-#: that hold it, each paired with its opposite vertex; sorted by wall.
-Walls = list[tuple[Simplex, list[tuple[Simplex, int]]]]
 
 
 def _walls(fan: TopologicalFan) -> Walls:
@@ -339,61 +406,53 @@ def _wall_normal(fan: TopologicalFan, wall: Simplex) -> Optional[Vec]:
     return kernel[0]
 
 
-def _wall_side_check(fan: TopologicalFan, walls: Walls) -> AxiomCheck:
+def _wall_side(cones: dict[tuple[int, ...], _Cone], mx: Simplex, p: int) -> int:
+    """det(W, p) for the wall W = mx - {p} in sorted order followed by p, up to
+    a positive factor: det(mx) with p moved from its sorted place to the end."""
+    s = tuple(sorted(mx))
+    det = cones[s].det
+    return det if (len(s) - 1 - s.index(p)) % 2 == 0 else -det
+
+
+def _wall_side_check(
+    fan: TopologicalFan, cones: dict[tuple[int, ...], _Cone], walls: Walls
+) -> AxiomCheck:
     for wall, incident in walls:
         if len(incident) != 2:
             continue
-        normal = _wall_normal(fan, wall)
+        side_p, side_q = (_wall_side(cones, mx, p) for mx, p in incident)
+        if side_p * side_q < 0:
+            continue
         witness = WallWitness(
             tuple(sorted(wall)),
             tuple(tuple(sorted(mx)) for mx, _ in incident),
             "opposite vertices do not straddle the wall hyperplane",
         )
-        if normal is None:
+        if _wall_normal(fan, wall) is None:
             return AxiomCheck(False, witness, "wall spans a degenerate hyperplane")
-        (mx_a, p), (mx_b, q) = incident
-        side_p = linalg.dot(normal, fan.real_row(p))
-        side_q = linalg.dot(normal, fan.real_row(q))
-        if side_p == 0 or side_q == 0 or (side_p > 0) == (side_q > 0):
-            return AxiomCheck(False, witness)
+        return AxiomCheck(False, witness)
     return AxiomCheck(True)
 
 
-@dataclass(frozen=True)
-class _WallChecks:
-    """The walls of a fan and the two axiom checks made on them alone."""
-
-    walls: Walls
-    pseudomanifold: AxiomCheck
-    sides: AxiomCheck
-
-
-def _wall_checks(fan: TopologicalFan) -> _WallChecks:
-    walls = _walls(fan)
-    return _WallChecks(walls, _pseudomanifold_check(walls), _wall_side_check(fan, walls))
-
-
-def _generic_degree(fan: TopologicalFan) -> int:
+def _generic_degree(table: _ConeTable) -> int:
     """How many open maximal cones hold the first point x = (1, t, ..., t^(n-1)),
     for t = 1/97, 1 + 1/97, 2 + 1/97, ..., that lies on no facet hyperplane.
 
     A facet hyperplane meets this curve in at most n - 1 points, so the walk
     stops within (facet hyperplanes) * (n - 1) + 1 steps. Call it only when
     every wall is good: then each vertex of a cone lies strictly off the
-    hyperplane of the wall opposite it, so every cone has an inverse.
+    hyperplane of the wall opposite it, so every cone has facet normals.
     """
-    maximal = fan.maximal_simplices()
-    inverses: ConeInverses = {}
     t = Fraction(1, 97)
     while True:
-        x = tuple(t**e for e in range(fan.n))
-        coefficients = [_coefficients(fan, s, x, inverses) for s in maximal]
-        if all(0 not in c for c in coefficients):
-            return sum(1 for c in coefficients if min(c) > 0)
+        point = _integer_row(tuple(t**e for e in range(table.fan.n)))[1]
+        values = [cone.facet_values(point) for cone in table.cones.values()]
+        if all(0 not in c for c in values):
+            return sum(1 for c in values if min(c) > 0)
         t += 1
 
 
-def _covered_once(fan: TopologicalFan, walls: _WallChecks) -> bool:
+def _covered_once(table: _ConeTable) -> bool:
     """Whether every wall is good and one generic point lies in exactly one open cone.
 
     A wall is good when it lies in exactly two maximal cones whose opposite
@@ -404,16 +463,16 @@ def _covered_once(fan: TopologicalFan, walls: _WallChecks) -> bool:
     exactly when the cone interiors are pairwise disjoint and the closed cones
     cover R^n.
     """
-    if not (walls.pseudomanifold.passed and walls.sides.passed):
+    if not (table.pseudomanifold.passed and table.sides.passed):
         return False
-    return _generic_degree(fan) == 1
+    return _generic_degree(table) == 1
 
 
-def _connectivity_check(fan: TopologicalFan, walls: Walls) -> AxiomCheck:
-    maximal = fan.maximal_simplices()
+def _connectivity_check(table: _ConeTable) -> AxiomCheck:
+    maximal = list(table.cones)
     index = {frozenset(s): k for k, s in enumerate(maximal)}
     adjacency: dict[int, set[int]] = {k: set() for k in range(len(maximal))}
-    for _, incident in walls:
+    for _, incident in table.walls:
         if len(incident) == 2:
             a, b = (index[mx] for mx, _ in incident)
             adjacency[a].add(b)
@@ -446,25 +505,25 @@ def _random_direction(rng: random.Random, n: int) -> Vec:
             return x
 
 
-def _degree_check(fan: TopologicalFan, seed: int, inverses: ConeInverses) -> AxiomCheck:
+def _degree_check(table: _ConeTable, seed: int) -> AxiomCheck:
     rng = random.Random(seed)
-    maximal = fan.maximal_simplices()
     accepted = 0
     attempts = 0
     while accepted < DEGREE_SAMPLE_COUNT:
         attempts += 1
         if attempts > 200 * DEGREE_SAMPLE_COUNT:
             return AxiomCheck(False, None, "could not sample generic directions")
-        x = _random_direction(rng, fan.n)
+        x = _random_direction(rng, table.fan.n)
+        point = _integer_row(x)[1]
         interior: list[tuple[int, ...]] = []
         on_boundary = False
-        for s in maximal:
-            coeffs = _coefficients(fan, s, x, inverses)
-            if coeffs is None:
+        for s, cone in table.cones.items():
+            if cone.normals is None:
                 continue
-            if all(c > 0 for c in coeffs):
+            lowest = min(cone.facet_values(point))
+            if lowest > 0:
                 interior.append(s)
-            elif all(c >= 0 for c in coeffs):
+            elif lowest == 0:
                 on_boundary = True
                 break
         if on_boundary:
@@ -482,12 +541,13 @@ def _degree_check(fan: TopologicalFan, seed: int, inverses: ConeInverses) -> Axi
 
 
 def _uncovered_near_wall(
-    fan: TopologicalFan, wall: Simplex, away_from: int, inverses: ConeInverses
+    table: _ConeTable, wall: Simplex, away_from: int
 ) -> Optional[UncoveredWitness]:
     """Search for an uncovered direction just across a defective wall."""
+    fan = table.fan
     if fan.n == 1:
         for candidate in ((Fraction(1),), (Fraction(-1),)):
-            if not _covered(fan, candidate, inverses):
+            if not _covered(table, candidate):
                 return UncoveredWitness(candidate)
         return None
     normal = _wall_normal(fan, wall)
@@ -503,28 +563,41 @@ def _uncovered_near_wall(
     eps = Fraction(1)
     for _ in range(40):
         candidate = tuple(b + eps * d for b, d in zip(base, direction))
-        if any(c != 0 for c in candidate) and not _covered(fan, candidate, inverses):
+        if any(c != 0 for c in candidate) and not _covered(table, candidate):
             return UncoveredWitness(candidate)
         eps /= 2
     return None
 
 
 def _uncovered_by_sampling(
-    fan: TopologicalFan, seed: int, inverses: ConeInverses, budget: int = 500
+    table: _ConeTable, seed: int, budget: int = 500
 ) -> Optional[UncoveredWitness]:
     rng = random.Random(seed ^ 0x5EED)
     for _ in range(budget):
-        x = _random_direction(rng, fan.n)
-        if not _covered(fan, x, inverses):
+        x = _random_direction(rng, table.fan.n)
+        if not _covered(table, x):
             return UncoveredWitness(x)
     return None
 
 
-def _nonoverlap_check(fan: TopologicalFan) -> AxiomCheck:
-    maximal = fan.maximal_simplices()
-    for a in range(len(maximal)):
-        for b in range(a + 1, len(maximal)):
-            simplex_a, simplex_b = maximal[a], maximal[b]
+def _separated(a: _Cone, b: _Cone) -> bool:
+    """Whether a facet hyperplane of cone a has every generator of cone b on
+    its closed outer side. The open cone a lies strictly inside that facet's
+    half-space and every positive combination of b's generators lies outside
+    it, so the two cones share no interior point."""
+    return a.normals is not None and any(
+        all(_dot(normal, row) <= 0 for row in b.rows) for normal in a.normals
+    )
+
+
+def _nonoverlap_check(table: _ConeTable) -> AxiomCheck:
+    fan = table.fan
+    cones = list(table.cones.items())
+    for a in range(len(cones)):
+        for b in range(a + 1, len(cones)):
+            (simplex_a, cone_a), (simplex_b, cone_b) = cones[a], cones[b]
+            if _separated(cone_a, cone_b) or _separated(cone_b, cone_a):
+                continue
             gens_a = [fan.real_row(i) for i in simplex_a]
             gens_b = [fan.real_row(i) for i in simplex_b]
             cols = len(gens_a) + len(gens_b)
@@ -563,13 +636,10 @@ def _nonoverlap_check(fan: TopologicalFan) -> AxiomCheck:
     return AxiomCheck(True)
 
 
-def _completeness_check(
-    fan: TopologicalFan, seed: int, walls: _WallChecks
-) -> AxiomCheck:
-    inverses: ConeInverses = {}
+def _completeness_check(table: _ConeTable, seed: int) -> AxiomCheck:
     for defect, fallback in (
-        (walls.pseudomanifold, "wall defect"),
-        (walls.sides, "wall side defect"),
+        (table.pseudomanifold, "wall defect"),
+        (table.sides, "wall side defect"),
     ):
         if defect.passed:
             continue
@@ -578,18 +648,18 @@ def _completeness_check(
             wall = frozenset(witness.wall)
             opposite = next(iter(frozenset(witness.simplices[0]) - wall), None)
             if opposite is not None:
-                found = _uncovered_near_wall(fan, wall, opposite, inverses)
+                found = _uncovered_near_wall(table, wall, opposite)
                 if found:
                     return AxiomCheck(False, found, "support misses a direction")
-        found = _uncovered_by_sampling(fan, seed, inverses)
+        found = _uncovered_by_sampling(table, seed)
         return AxiomCheck(False, found or witness, defect.detail or fallback)
 
-    connectivity = _connectivity_check(fan, walls.walls)
+    connectivity = _connectivity_check(table)
     if not connectivity.passed:
-        found = _uncovered_by_sampling(fan, seed, inverses)
+        found = _uncovered_by_sampling(table, seed)
         return AxiomCheck(False, found or connectivity.witness, connectivity.detail)
 
-    return _degree_check(fan, seed, inverses)
+    return _degree_check(table, seed)
 
 
 def _nonsingularity_check(
@@ -598,10 +668,10 @@ def _nonsingularity_check(
     determinants = []
     failure: Optional[DeterminantWitness] = None
     for s in fan.maximal_simplices():
-        d = linalg.det(linalg.mat([fan.integer_row(i) for i in s]))
-        determinants.append((s, int(d)))
+        d = linalg.bareiss([fan.integer_row(i) for i in s])[0]
+        determinants.append((s, d))
         if abs(d) != 1 and failure is None:
-            failure = DeterminantWitness(s, int(d))
+            failure = DeterminantWitness(s, d)
     if failure is not None:
         return (
             AxiomCheck(False, failure, "integer part is not unimodular"),
@@ -618,12 +688,14 @@ def cones_nonoverlapping(fan: TopologicalFan) -> AxiomCheck:
     """Exact pairwise disjointness of maximal cone interiors (report-valued).
 
     Holds at once when every wall is good and one generic point lies in exactly
-    one open cone; otherwise every cone pair is decided by Fourier-Motzkin
-    elimination, and the first overlapping pair is the witness.
+    one open cone; otherwise every pair that no facet hyperplane of either cone
+    separates is decided by Fourier-Motzkin elimination, and the first
+    overlapping pair is the witness.
     """
-    if _covered_once(fan, _wall_checks(fan)):
+    table = _cone_table(fan)
+    if _covered_once(table):
         return AxiomCheck(True)
-    return _nonoverlap_check(fan)
+    return _nonoverlap_check(table)
 
 
 def is_complete(fan: TopologicalFan, seed: int = DEGREE_SAMPLE_SEED) -> AxiomCheck:
@@ -635,12 +707,12 @@ def is_complete(fan: TopologicalFan, seed: int = DEGREE_SAMPLE_SEED) -> AxiomChe
     """
     if not _purity_check(fan).passed:
         raise PreconditionError("purity must hold")
-    walls = _wall_checks(fan)
-    if _covered_once(fan, walls):
+    table = _cone_table(fan)
+    if _covered_once(table):
         return AxiomCheck(True)
-    if not _nonoverlap_check(fan).passed:
+    if not _nonoverlap_check(table).passed:
         raise PreconditionError("cone interiors overlap")
-    return _completeness_check(fan, seed, walls)
+    return _completeness_check(table, seed)
 
 
 def is_nonsingular(fan: TopologicalFan) -> AxiomCheck:
@@ -658,17 +730,17 @@ def is_ordinary(fan: TopologicalFan) -> bool:
 @lru_cache(maxsize=512)
 def _validate_cached(fan: TopologicalFan, seed: int) -> ValidationReport:
     purity = _purity_check(fan)
-    walls = _wall_checks(fan)
-    independence = _linear_independence_check(fan)
-    if _covered_once(fan, walls):
+    table = _cone_table(fan)
+    independence = _linear_independence_check(table)
+    if _covered_once(table):
         nonoverlap = completeness = AxiomCheck(True)
     else:
-        nonoverlap = _nonoverlap_check(fan)
-        completeness = _completeness_check(fan, seed, walls)
+        nonoverlap = _nonoverlap_check(table)
+        completeness = _completeness_check(table, seed)
     nonsingularity, determinants = _nonsingularity_check(fan)
     return ValidationReport(
         purity=purity,
-        pseudomanifold=walls.pseudomanifold,
+        pseudomanifold=table.pseudomanifold,
         linear_independence=independence,
         nonoverlap=nonoverlap,
         completeness=completeness,

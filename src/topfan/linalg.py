@@ -14,6 +14,7 @@ import numpy as np
 
 Mat = tuple[tuple[Fraction, ...], ...]
 Vec = tuple[Fraction, ...]
+IntMat = tuple[tuple[int, ...], ...]
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -77,6 +78,50 @@ def det(a: Mat) -> Fraction:
                 for c in range(col, n):
                     rows[r][c] -= factor * rows[col][c]
     return result
+
+
+def bareiss(a: Sequence[Sequence[int]]) -> tuple[int, IntMat]:
+    """Determinant and adjugate of a square integer matrix, fraction-free.
+
+    Gauss-Jordan elimination on [a | I] in which every step divides exactly by
+    the previous pivot (Bareiss, Math. Comp. 22, 1968), so each entry stays an
+    integer minor of the input. With p the last pivot and s the sign of the
+    row swaps, the left block ends as p*I and the right block as p*a^-1, so
+    det a = s*p and adj a = s*(right block). A singular matrix has no last
+    pivot; its adjugate is built from the cofactors instead.
+    """
+    n = len(a)
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot_row is None:
+            return 0, _cofactor_adjugate(a)
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for r in range(n):
+            factor = rows[r][k]
+            if r != k and (factor or pivot != previous):
+                rows[r] = [
+                    (pivot * x - factor * y) // previous
+                    for x, y in zip(rows[r], rows[k])
+                ]
+        previous = pivot
+    return sign * previous, tuple(tuple(sign * x for x in row[n:]) for row in rows)
+
+
+def _cofactor_adjugate(a: Sequence[Sequence[int]]) -> IntMat:
+    n = len(a)
+
+    def minor(i: int, j: int) -> int:
+        rest = [[*row[:j], *row[j + 1 :]] for k, row in enumerate(a) if k != i]
+        return bareiss(rest)[0]
+
+    return tuple(
+        tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)
+    )
 
 
 def inverse(a: Mat) -> Mat:

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's code paths: membership uses
 Leibniz determinants with Cramer's rule, and 2D cone overlap is decided by
-sector arithmetic instead of Fourier-Motzkin feasibility. Toricness and the
-invariant structure are re-decided the long way, over every chart pair.
+sector arithmetic instead of Fourier-Motzkin feasibility. Non-overlap,
+toricness and the invariant structure are re-decided the long way, over every
+cone or chart pair.
 """
 
 import sys
@@ -121,6 +122,52 @@ def brute_force_nonoverlap_2d(fan):
             if sectors_overlap(gens_p, gens_q):
                 return False
     return True
+
+
+def fme_overlap(fan, simplex_a, simplex_b):
+    """An OverlapWitness when strictly positive combinations of the two cones'
+    generators meet, else None, decided by Fourier-Motzkin elimination over
+    the kernel of [gens_a | -gens_b]."""
+    from topfan import fme, linalg
+    from topfan.fan import OverlapWitness
+
+    gens_a = [fan.real_row(i) for i in simplex_a]
+    gens_b = [fan.real_row(i) for i in simplex_b]
+    cols = len(gens_a) + len(gens_b)
+    equalities = linalg.mat(
+        [
+            [g[row] for g in gens_a] + [-g[row] for g in gens_b]
+            for row in range(fan.n)
+        ]
+    )
+    kernel = linalg.nullspace(equalities)
+    if not kernel:
+        return None
+    rows = [(tuple(basis[t] for basis in kernel), Fraction(0)) for t in range(cols)]
+    y = fme.strict_feasible(rows, len(kernel))
+    if y is None:
+        return None
+    x = tuple(sum(y[s] * kernel[s][t] for s in range(len(kernel))) for t in range(cols))
+    coeffs_a, coeffs_b = x[: len(gens_a)], x[len(gens_a) :]
+    point = tuple(
+        sum(c * g[row] for c, g in zip(coeffs_a, gens_a)) for row in range(fan.n)
+    )
+    return OverlapWitness(simplex_a, simplex_b, point, coeffs_a, coeffs_b)
+
+
+def all_pairs_nonoverlap(fan):
+    """Every cone pair by Fourier-Motzkin elimination; the first overlapping
+    pair in sorted order is the witness."""
+    from topfan.fan import AxiomCheck
+
+    maximal = fan.maximal_simplices()
+    for a in range(len(maximal)):
+        for b in range(a + 1, len(maximal)):
+            witness = fme_overlap(fan, maximal[a], maximal[b])
+            if witness is not None:
+                detail = "two maximal cones share interior points"
+                return AxiomCheck(False, witness, detail)
+    return AxiomCheck(True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from topfan.fan import (
     SimplicialComplex,
     TopologicalFan,
     _completeness_check,
+    _cone_table,
     _generic_degree,
     _nonoverlap_check,
-    _wall_checks,
     cones_nonoverlapping,
     is_complete,
     validate,
@@ -35,7 +35,7 @@ def test_generic_point_walks_past_a_ray_on_the_moment_curve(monkeypatch):
         for row, vector in zip(real, cp2.beta)
     )
     fan = TopologicalFan(2, cp2.sc, beta)
-    assert _generic_degree(fan) == 1
+    assert _generic_degree(_cone_table(fan)) == 1
     forbid(monkeypatch, fme.strict_feasible)
     assert validate(fan).all_passed
 
@@ -62,12 +62,12 @@ def test_good_walls_with_degree_above_one_keep_the_pairwise_verdicts(
     build, degree, kind
 ):
     fan = build()
-    walls = _wall_checks(fan)
-    assert walls.pseudomanifold.passed and walls.sides.passed
-    assert _generic_degree(fan) == degree
+    table = _cone_table(fan)
+    assert table.pseudomanifold.passed and table.sides.passed
+    assert _generic_degree(table) == degree
     report = validate(fan)
-    assert report.nonoverlap == _nonoverlap_check(fan) == cones_nonoverlapping(fan)
-    assert report.completeness == _completeness_check(fan, report.seed, walls)
+    assert report.nonoverlap == _nonoverlap_check(table) == cones_nonoverlapping(fan)
+    assert report.completeness == _completeness_check(table, report.seed)
     with pytest.raises(PreconditionError):
         is_complete(fan)
 

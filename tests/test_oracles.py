@@ -1,18 +1,24 @@
 """The linear toricness test and the per-vertex structure test against the
 all-pairs oracles, the paper's statement on toric fans, the covering-degree
-rule against the pairwise non-overlap and sampled completeness checks, and
+rule against the pairwise non-overlap and sampled completeness checks, the
+facet separation test against all-pairs Fourier-Motzkin elimination, and
 guards that a report decides each question once, without transition tables
 and without pairwise Fourier-Motzkin elimination on valid fans."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from conftest import (
+    all_pairs_nonoverlap,
     all_pairs_toric,
+    duplicate_cone,
+    fme_overlap,
     forbid,
     ordinary_image,
     per_chart_structure,
+    remove_maximal_simplex,
     replace_aliases,
 )
 from topfan import acs, catalog, charts, czalgebra, fme
@@ -22,10 +28,11 @@ from topfan.cli import main
 from topfan.fan import (
     DEGREE_SAMPLE_SEED,
     _completeness_check,
+    _cone_table,
     _covered_once,
     _nonoverlap_check,
+    _separated,
     _validate_cached,
-    _wall_checks,
     is_ordinary,
     random_fan,
     validate,
@@ -123,12 +130,12 @@ def test_covering_degree_agrees_with_pairwise_and_sampled_checks(
         fans[f"random-{seed}"] = random_fan(seed, 1 + seed % 2, 4 + seed % 3)
     for name, fan in fans.items():
         report = validate(fan)
-        walls = _wall_checks(fan)
-        assert report.nonoverlap == _nonoverlap_check(fan), name
-        completeness = _completeness_check(fan, DEGREE_SAMPLE_SEED, walls)
+        table = _cone_table(fan)
+        assert report.nonoverlap == _nonoverlap_check(table), name
+        completeness = _completeness_check(table, DEGREE_SAMPLE_SEED)
         assert report.completeness == completeness, name
         tiles = report.nonoverlap.passed and report.completeness.passed
-        assert _covered_once(fan, walls) == tiles, name
+        assert _covered_once(table) == tiles, name
         if tiles:
             for seed in (0, 1, 2, 99, 1000003):
                 again = validate(fan, seed=seed)
@@ -148,3 +155,27 @@ def test_report_decides_tiling_without_pairwise_elimination(
         path.write_text(emit_fan(fans[name]))
         assert main(["report", "--fan", str(path), "--format", "json"]) == 0, name
         assert "Traceback" not in capsys.readouterr().err, name
+
+
+def test_separated_pairs_are_disjoint_and_nonoverlap_matches_all_pairs_oracle(
+    catalog_fans, committed_fans
+):
+    fans = dict(catalog_fans, **committed_fans)
+    for seed in range(40):
+        fans[f"random-{seed}"] = random_fan(seed, 1 + seed % 2, 4 + seed % 3)
+    for name, fan in list(catalog_fans.items()) + [
+        (f"random-{seed}", fans[f"random-{seed}"]) for seed in range(0, 40, 4)
+    ]:
+        maximal = fan.maximal_simplices()
+        target = maximal[len(name) % len(maximal)]
+        fans[f"{name}-removed"] = remove_maximal_simplex(fan, target)
+        fans[f"{name}-duplicated"] = duplicate_cone(fan, target)
+    skipped = 0
+    for name, fan in fans.items():
+        assert validate(fan).nonoverlap == all_pairs_nonoverlap(fan), name
+        cones = _cone_table(fan).cones.items()
+        for (simplex_a, cone_a), (simplex_b, cone_b) in combinations(cones, 2):
+            if _separated(cone_a, cone_b) or _separated(cone_b, cone_a):
+                skipped += 1
+                assert fme_overlap(fan, simplex_a, simplex_b) is None, (name, simplex_a)
+    assert skipped > 0
